@@ -1,12 +1,15 @@
 //! Purpose-built cluster scenarios measuring the §4.2 costs in virtual
 //! time.
 
-use millipage::{run, AllocMode, ClusterConfig, CostModel, HostId, Ns};
+use millipage::{run, AllocMode, ClusterConfig, CostModel, HostId, Ns, SchedMode};
 use parking_lot::Mutex;
 
 /// Base configuration for microbenchmark scenarios: idle hosts (so the
 /// poller, not the sweeper, answers — the paper's microbenchmarks ran on
-/// otherwise-idle machines).
+/// otherwise-idle machines). Runs the canonical deterministic schedule:
+/// free-threaded, the servers handle messages in real arrival order, so
+/// a scenario's virtual-time result would depend on OS thread timing
+/// (e.g. where the last barrier arriver lands in the release order).
 pub fn micro_cfg(hosts: usize) -> ClusterConfig {
     ClusterConfig {
         hosts,
@@ -14,6 +17,8 @@ pub fn micro_cfg(hosts: usize) -> ClusterConfig {
         pages: 256,
         cost: CostModel::default(),
         alloc_mode: AllocMode::FINE,
+        sched: SchedMode::deterministic(),
+        parallel: None,
         ..ClusterConfig::default()
     }
 }
@@ -179,13 +184,11 @@ mod tests {
         assert!(large > small, "4 KB {large} !> 128 B {small}");
         assert!(
             (100_000..500_000).contains(&small),
-            "128 B read fault = {} ns",
-            small
+            "128 B read fault = {small} ns, 4 KB = {large} ns"
         );
         assert!(
             (150_000..700_000).contains(&large),
-            "4 KB read fault = {} ns",
-            large
+            "128 B read fault = {small} ns, 4 KB = {large} ns"
         );
     }
 
@@ -195,7 +198,7 @@ mod tests {
         // arriving in a single hop as opposed to two hops was slight."
         let one = read_fault_time(128, false) as f64;
         let two = read_fault_time(128, true) as f64;
-        assert!(two >= one * 0.9);
+        assert!(two >= one * 0.9, "two-hop {two} vs one-hop {one}");
         assert!(two < one * 2.0, "two-hop {two} vs one-hop {one}");
     }
 
@@ -204,16 +207,16 @@ mod tests {
         let w0 = write_fault_time(128, 0);
         let w6 = write_fault_time(128, 6);
         assert!(w6 > w0, "more invalidations must cost more: {w0} vs {w6}");
-        assert!((100_000..600_000).contains(&w0), "w0 = {w0}");
+        assert!((100_000..600_000).contains(&w0), "w0 = {w0}, w6 = {w6}");
     }
 
     #[test]
     fn barrier_grows_linearly_with_hosts() {
         let b2 = barrier_time(2);
         let b8 = barrier_time(8);
-        assert!(b8 > b2);
-        assert!((40_000..350_000).contains(&b2), "b2 = {b2}");
-        assert!((100_000..600_000).contains(&b8), "b8 = {b8}");
+        assert!(b8 > b2, "b2 = {b2}, b8 = {b8}");
+        assert!((40_000..350_000).contains(&b2), "b2 = {b2}, b8 = {b8}");
+        assert!((100_000..600_000).contains(&b8), "b2 = {b2}, b8 = {b8}");
     }
 
     #[test]
@@ -234,7 +237,7 @@ mod tests {
         // the slow server response.
         assert!(
             (400_000..2_000_000).contains(&busy),
-            "busy-mean = {busy} ns"
+            "busy-mean = {busy} ns, idle-mean = {idle} ns"
         );
     }
 

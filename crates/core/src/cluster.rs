@@ -652,6 +652,8 @@ where
         trace_dropped,
         diag,
         adapt,
+        sched_steps: sched.steps(),
+        sched_rechecks: sched.rechecks(),
         per_host,
     }
 }

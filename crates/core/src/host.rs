@@ -265,11 +265,13 @@ impl HostCtx {
         self.thread
     }
 
-    /// Publishes a scheduler action: this thread just mutated state a
-    /// blocked peer may be waiting on outside the network path (e.g. the
-    /// cluster cancelling pending waiters after an application failure).
+    /// Publishes a scheduler action on every host of this thread's
+    /// partition: this thread just mutated state blocked peers on other
+    /// hosts may be waiting on outside the network path (the cluster
+    /// cancelling every host's pending waiters after an application
+    /// failure).
     pub(crate) fn sched_action(&self) {
-        self.sched.action();
+        self.sched.action_all();
     }
 
     /// Current virtual time of this application thread.

@@ -140,6 +140,14 @@ pub struct RunReport {
     /// Online adaptation actions; `None` unless the run enabled
     /// [`ClusterConfig::adapt`](crate::ClusterConfig).
     pub adapt: Option<crate::adapt::AdaptReport>,
+    /// Scheduling steps the deterministic scheduler took (0 when
+    /// free-threaded): the simulation engine's work, not the protocol's.
+    /// Left out of [`RunReport::to_json`], whose bytes the canonical
+    /// schedule's parity pins hash.
+    pub sched_steps: u64,
+    /// Steps that dispatched a blocked thread whose condition still
+    /// failed: futile wake-ups. Also left out of the JSON.
+    pub sched_rechecks: u64,
 }
 
 impl RunReport {

@@ -47,16 +47,21 @@
 //!   `Option`; the free-threaded default path is untouched.
 //! * **Wake-ups are action-counted, not wired.** Blocking conditions
 //!   (a waiter slot filling, a packet landing in an inbox) live in the
-//!   protocol layer and are not told about the scheduler. Instead a
-//!   per-partition *action counter* is bumped after anything that could
-//!   unblock a peer (every delivery into the partition, every handler
-//!   dispatch); a blocked thread is schedulable again exactly when the
-//!   counter moved past the value it recorded when its condition last
-//!   failed, and it simply re-checks. A finite number of re-checks per
-//!   action means no livelock, and a thread whose condition was already
-//!   met never parks. Cross-partition wake-ups must travel through the
-//!   gate (a delivery), never through a bare action bump — that is what
-//!   keeps the counters partition-local and the schedule reproducible.
+//!   protocol layer and are not told about the scheduler. Instead each
+//!   host has an *action counter*, bumped after anything that could
+//!   unblock a thread of that host (a delivery into its inbox, a handler
+//!   dispatch by its server); a blocked thread is schedulable again
+//!   exactly when its own host's counter moved past the value it recorded
+//!   when its condition last failed, and it simply re-checks. A finite
+//!   number of re-checks per action means no livelock, and a thread whose
+//!   condition was already met never parks. Every blocking condition of
+//!   the protocol is host-local — a waiter slot filled by the host's own
+//!   server, or the host's own inbox — so cross-*host* wake-ups always
+//!   travel as a delivery to the destination host, and a bump wakes only
+//!   the threads that can possibly have been unblocked. A coarser key
+//!   (one counter per partition) would make every blocked thread of the
+//!   partition re-check after every action: a herd of futile steps that
+//!   grows linearly with the host count.
 //! * **Handler atomicity.** A DSM server handles one message per
 //!   scheduling step: the dispatch boundary *is* the yield point, and
 //!   everything inside a handler (window open/close, directory updates,
@@ -351,9 +356,8 @@ pub enum BlockOutcome<T> {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Status {
     Runnable,
-    /// Blocked since the partition's action counter read `seen`;
-    /// schedulable again (to re-check its condition) once the counter
-    /// moves past it.
+    /// Blocked since its host's action counter read `seen`; schedulable
+    /// again (to re-check its condition) once that counter moves past it.
     Blocked {
         seen: u64,
     },
@@ -362,6 +366,9 @@ enum Status {
 
 struct Slot {
     key: ThreadKey,
+    /// Partition-local position of the slot's host: its index into
+    /// [`PartState::actions`] and [`Part::hosts`].
+    host: usize,
     vt: Ns,
     status: Status,
     attached: bool,
@@ -392,10 +399,14 @@ struct PartState {
     running: Option<usize>,
     /// Whether the partition has arrived at the window barrier.
     at_barrier: bool,
-    /// Partition-local potentially-unblocking-action counter (see module
-    /// docs).
-    actions: u64,
+    /// Per-host potentially-unblocking-action counters, indexed by the
+    /// partition-local host position (see module docs). Sized once at
+    /// construction.
+    actions: Vec<u64>,
     steps: u64,
+    /// Dispatches of a blocked thread whose re-check then failed: the
+    /// wake-ups that bought nothing.
+    rechecks: u64,
     policy: PolicyState,
 }
 
@@ -444,9 +455,10 @@ struct Inner {
     /// Whether cross-host deliveries are gated (virtual-time policy).
     gating: bool,
     gate: OnceLock<Arc<dyn DeliveryGate>>,
-    /// Host index → partition index (for action bumps and held-packet
-    /// rescue).
-    host_part: Vec<usize>,
+    /// Host index → (partition, partition-local host position), for
+    /// action bumps and held-packet rescue; `None` for a host that owns
+    /// no thread (nothing there can be woken).
+    host_loc: Vec<Option<(usize, usize)>>,
     total_slots: usize,
     /// Whether dispatch decisions are recorded into the decision log
     /// (one partition only: a total order does not exist otherwise).
@@ -601,6 +613,7 @@ impl Scheduler {
                     .into_iter()
                     .map(|key| Slot {
                         key,
+                        host: hosts.binary_search(&key.host).expect("slot host listed"),
                         vt: 0,
                         status: Status::Runnable,
                         attached: false,
@@ -612,8 +625,9 @@ impl Scheduler {
                         slots,
                         running: None,
                         at_barrier: true,
-                        actions: 0,
+                        actions: vec![0; hosts.len()],
                         steps: 0,
+                        rechecks: 0,
                         policy,
                     }),
                     cvs,
@@ -621,6 +635,12 @@ impl Scheduler {
                 }
             })
             .collect();
+        let mut host_loc = vec![None; host_part.len()];
+        for (pi, part) in parts.iter().enumerate() {
+            for (pos, h) in part.hosts.iter().enumerate() {
+                host_loc[h.index()] = Some((pi, pos));
+            }
+        }
         Self {
             inner: Some(Arc::new(Inner {
                 ctl: Mutex::new(Ctl {
@@ -636,7 +656,7 @@ impl Scheduler {
                 lookahead,
                 gating,
                 gate: OnceLock::new(),
-                host_part,
+                host_loc,
                 total_slots,
                 record: parts.len() == 1,
                 log: Arc::clone(&m.log),
@@ -726,17 +746,17 @@ impl Scheduler {
         t
     }
 
-    /// Bumps every partition's action counter from *any* thread
-    /// (registered or not) and re-examines a quiescent simulation:
-    /// called on deliveries in ungated (exploration-policy) mode and by
-    /// external actors that made progress possible.
+    /// Bumps every host's action counter from *any* thread (registered
+    /// or not) and re-examines a quiescent simulation: called on
+    /// deliveries in ungated (exploration-policy) mode and by external
+    /// actors that made progress possible.
     pub fn bump_action(&self) {
         let Some(inner) = &self.inner else {
             return;
         };
         let mut ctl = lock(&inner.ctl);
         for part in &inner.parts {
-            lock(&part.state).actions += 1;
+            bump_all(&mut lock(&part.state));
         }
         if ctl.started
             && !inner.external.load(Ordering::Acquire)
@@ -747,19 +767,18 @@ impl Scheduler {
         }
     }
 
-    /// Bumps the action counter of `host`'s partition only: a delivery
-    /// or handler effect whose observers all live on that host. The
-    /// partition-local form avoids the cross-partition control lock on
-    /// the hot path; it never needs to re-dispatch because the caller is
-    /// a currently-running scheduled thread of the same partition (or an
-    /// external actor inside a quiesced window, whose re-examination
-    /// happens when the window closes).
+    /// Bumps `host`'s action counter only: a delivery or handler effect
+    /// whose observers all live on that host, so only that host's
+    /// blocked threads re-check. The host-local form avoids the
+    /// cross-partition control lock on the hot path; it never needs to
+    /// re-dispatch because the caller is a currently-running scheduled
+    /// thread of the same partition (or an external actor inside a
+    /// quiesced window, whose re-examination happens when the window
+    /// closes).
     pub fn bump_action_host(&self, host: HostId) {
-        let Some(inner) = &self.inner else {
-            return;
-        };
-        let pi = inner.host_part.get(host.index()).copied().unwrap_or(0);
-        lock(&inner.parts[pi].state).actions += 1;
+        if let Some(inner) = &self.inner {
+            bump_host(inner, host);
+        }
     }
 
     /// Waits until the whole simulation is quiescent (every thread done
@@ -790,9 +809,19 @@ impl Scheduler {
     /// Number of scheduling decisions taken so far, summed over
     /// partitions.
     pub fn steps(&self) -> u64 {
+        self.sum_over_parts(|ps| ps.steps)
+    }
+
+    /// Number of futile wake-ups so far, summed over partitions: steps
+    /// that dispatched a blocked thread whose condition still failed.
+    pub fn rechecks(&self) -> u64 {
+        self.sum_over_parts(|ps| ps.rechecks)
+    }
+
+    fn sum_over_parts(&self, f: impl Fn(&PartState) -> u64) -> u64 {
         match &self.inner {
             None => 0,
-            Some(inner) => inner.parts.iter().map(|p| lock(&p.state).steps).sum(),
+            Some(inner) => inner.parts.iter().map(|p| f(&lock(&p.state))).sum(),
         }
     }
 }
@@ -845,7 +874,7 @@ impl SchedThread {
         }
     }
 
-    /// Bumps the partition's action counter: the caller just did
+    /// Bumps the caller's host's action counter: the caller just did
     /// something that may have unblocked a peer on its own host
     /// (fulfilled a waiter, mutated protocol state) outside the
     /// network-delivery hook.
@@ -853,7 +882,21 @@ impl SchedThread {
         let Some(inner) = &self.inner else {
             return;
         };
-        lock(&inner.parts[self.part].state).actions += 1;
+        let mut ps = lock(&inner.parts[self.part].state);
+        let h = ps.slots[self.id].host;
+        ps.actions[h] += 1;
+    }
+
+    /// Bumps the action counter of every host in the caller's partition:
+    /// the caller mutated state that blocked threads on *other* hosts
+    /// wait on (the cluster cancelling every host's pending waiters
+    /// after an application failure). Rare; the protocol itself only
+    /// ever wakes another host through a delivery.
+    pub fn action_all(&self) {
+        let Some(inner) = &self.inner else {
+            return;
+        };
+        bump_all(&mut lock(&inner.parts[self.part].state));
     }
 
     /// Blocks until `check` produces a value, yielding to other threads
@@ -867,17 +910,18 @@ impl SchedThread {
             unreachable!("block_until on a disabled scheduler handle");
         };
         let part = &inner.parts[self.part];
+        let mut woken = false;
         loop {
-            // Snapshot the counter *before* checking: an action landing
-            // between a failed check and the park below leaves `seen`
-            // stale, so the thread stays schedulable and re-checks —
-            // no lost wake-up.
+            // Snapshot the host's counter *before* checking: an action
+            // landing between a failed check and the park below leaves
+            // `seen` stale, so the thread stays schedulable and re-checks
+            // — no lost wake-up.
             let seen = {
                 let ps = lock(&part.state);
                 if inner.poisoned.load(Ordering::Acquire) {
                     return BlockOutcome::Poisoned;
                 }
-                ps.actions
+                ps.actions[ps.slots[self.id].host]
             };
             if let Some(v) = check() {
                 return BlockOutcome::Ready(v);
@@ -886,6 +930,10 @@ impl SchedThread {
             if inner.poisoned.load(Ordering::Acquire) {
                 return BlockOutcome::Poisoned;
             }
+            if woken {
+                ps.rechecks += 1;
+            }
+            woken = true;
             ps.slots[self.id].vt = vt;
             ps.slots[self.id].status = Status::Blocked { seen };
             let mut ps = match dispatch_in(inner, part, &mut ps) {
@@ -914,8 +962,9 @@ impl SchedThread {
         ps.slots[self.id].status = Status::Done;
         // Finishing is an action: a sibling blocked on state this thread
         // just released (a cancelled waiter, a final message) must
-        // re-check.
-        ps.actions += 1;
+        // re-check. Which host that sibling sits on is unknown here, and
+        // finishing is rare, so wake the whole partition.
+        bump_all(&mut ps);
         if inner.poisoned.load(Ordering::Acquire) {
             return;
         }
@@ -952,12 +1001,28 @@ fn park_until_running<'a>(
     ps
 }
 
-/// Whether slot `s` may be scheduled right now.
-fn is_candidate(s: &Slot, actions: u64) -> bool {
+/// Whether slot `s` may be scheduled right now, given its partition's
+/// per-host action counters.
+fn is_candidate(s: &Slot, actions: &[u64]) -> bool {
     match s.status {
         Status::Runnable => true,
-        Status::Blocked { seen } => seen < actions,
+        Status::Blocked { seen } => seen < actions[s.host],
         Status::Done => false,
+    }
+}
+
+/// Bumps `host`'s action counter (a no-op for a host owning no thread).
+/// Takes the host's partition lock.
+fn bump_host(inner: &Inner, host: HostId) {
+    if let Some(&Some((pi, pos))) = inner.host_loc.get(host.index()) {
+        lock(&inner.parts[pi].state).actions[pos] += 1;
+    }
+}
+
+/// Bumps every host counter of one partition.
+fn bump_all(ps: &mut PartState) {
+    for a in &mut ps.actions {
+        *a += 1;
     }
 }
 
@@ -980,12 +1045,11 @@ fn dispatch_in(inner: &Inner, part: &Part, ps: &mut PartState) -> Verdict {
     }
     let window_end = inner.window_end.load(Ordering::Acquire);
     loop {
-        let actions = ps.actions;
         // Candidate scans are allocation-free: a schedule takes millions
         // of steps and a Vec per step would dominate the scheduler's
         // cost.
         let min_cand = (0..ps.slots.len())
-            .filter(|&i| is_candidate(&ps.slots[i], actions))
+            .filter(|&i| is_candidate(&ps.slots[i], &ps.actions))
             .min_by_key(|&i| (ps.slots[i].vt, ps.slots[i].key));
         // Gated cross-host deliveries: release the earliest pending
         // packet for this partition's hosts when it precedes (or ties —
@@ -995,21 +1059,21 @@ fn dispatch_in(inner: &Inner, part: &Part, ps: &mut PartState) -> Verdict {
         // count.
         if inner.gating {
             if let Some(gate) = inner.gate.get() {
-                let mut best: Option<(Ns, HostId)> = None;
-                for &h in &part.hosts {
+                let mut best: Option<(Ns, HostId, usize)> = None;
+                for (pos, &h) in part.hosts.iter().enumerate() {
                     let r = gate.min_pending(h);
-                    if r != Ns::MAX && best.is_none_or(|b| (r, h) < b) {
-                        best = Some((r, h));
+                    if r != Ns::MAX && best.is_none_or(|(br, bh, _)| (r, h) < (br, bh)) {
+                        best = Some((r, h, pos));
                     }
                 }
-                if let Some((r, h)) = best {
+                if let Some((r, h, pos)) = best {
                     let cand_vt = min_cand.map(|i| ps.slots[i].vt);
                     if r < window_end && cand_vt.is_none_or(|cv| r <= cv) {
                         gate.release_next(h);
-                        // The delivery may unblock a receiver: count it
-                        // as a partition-local action and re-derive the
-                        // candidate set.
-                        ps.actions += 1;
+                        // The delivery may unblock a receiver on `h`:
+                        // count it as an action of that host and
+                        // re-derive the candidate set.
+                        ps.actions[pos] += 1;
                         continue;
                     }
                 }
@@ -1022,13 +1086,15 @@ fn dispatch_in(inner: &Inner, part: &Part, ps: &mut PartState) -> Verdict {
             return Verdict::Barrier;
         }
         let step = ps.steps + 1;
-        let slots = &ps.slots;
-        let n_candidates = slots.iter().filter(|s| is_candidate(s, actions)).count();
+        let (slots, actions) = (&ps.slots, &ps.actions);
         let chosen = match &mut ps.policy {
             PolicyState::VirtualTime => None,
-            PolicyState::Random { rng } => (0..slots.len())
-                .filter(|&i| is_candidate(&slots[i], actions))
-                .nth(rng.next_usize(n_candidates)),
+            PolicyState::Random { rng } => {
+                let n_candidates = slots.iter().filter(|s| is_candidate(s, actions)).count();
+                (0..slots.len())
+                    .filter(|&i| is_candidate(&slots[i], actions))
+                    .nth(rng.next_usize(n_candidates))
+            }
             PolicyState::Pct {
                 prios,
                 change_at,
@@ -1101,9 +1167,8 @@ fn barrier_complete(inner: &Inner, ctl: &mut Ctl) {
         let mut stuck_app = false;
         for part in &inner.parts {
             let ps = lock(&part.state);
-            let actions = ps.actions;
             for s in &ps.slots {
-                if is_candidate(s, actions) {
+                if is_candidate(s, &ps.actions) {
                     w0 = w0.min(s.vt);
                 }
                 if s.key.class == ThreadClass::App && s.status != Status::Done {
@@ -1128,8 +1193,7 @@ fn barrier_complete(inner: &Inner, ctl: &mut Ctl) {
                 let rescued = g.flush_held();
                 if !rescued.is_empty() {
                     for h in rescued {
-                        let pi = inner.host_part.get(h.index()).copied().unwrap_or(0);
-                        lock(&inner.parts[pi].state).actions += 1;
+                        bump_host(inner, h);
                     }
                     continue;
                 }
@@ -1547,6 +1611,102 @@ mod tests {
     #[test]
     fn gated_delivery_works_single_partition() {
         gated_handoff(1, vec![0, 0]);
+    }
+
+    /// A blocked thread's outcome, as a printable tag.
+    fn outcome<T>(o: BlockOutcome<T>) -> &'static str {
+        match o {
+            BlockOutcome::Ready(_) => "ready",
+            BlockOutcome::Poisoned => "poisoned",
+        }
+    }
+
+    /// Blocks `t` until `flag` is nonzero.
+    fn wait_flag(t: &SchedThread, vt: Ns, flag: &AtomicU64) -> &'static str {
+        outcome(t.block_until(vt, || {
+            let v = flag.load(Ordering::Relaxed);
+            (v != 0).then_some(v)
+        }))
+    }
+
+    #[test]
+    fn action_all_wakes_other_hosts_of_the_partition() {
+        // Host 0 fills the condition host 1 blocks on, then blocks on a
+        // reply only host 1 can give. A host-local bump would leave host
+        // 1 unschedulable and poison the run.
+        let mode = SchedMode::deterministic();
+        let keys = vec![ThreadKey::app(HostId(0), 0), ThreadKey::app(HostId(1), 0)];
+        let sched = Scheduler::new(&mode, keys);
+        let (request, reply) = (AtomicU64::new(0), AtomicU64::new(0));
+        let (o0, o1) = std::thread::scope(|scope| {
+            let h0 = scope.spawn(|| {
+                let t = sched.attach(ThreadKey::app(HostId(0), 0));
+                t.yield_now(1);
+                request.store(1, Ordering::Relaxed);
+                t.action_all();
+                wait_flag(&t, 2, &reply)
+            });
+            let h1 = scope.spawn(|| {
+                let t = sched.attach(ThreadKey::app(HostId(1), 0));
+                let o = wait_flag(&t, 0, &request);
+                reply.store(1, Ordering::Relaxed);
+                o
+            });
+            (h0.join().unwrap(), h1.join().unwrap())
+        });
+        assert_eq!((o0, o1), ("ready", "ready"));
+    }
+
+    #[test]
+    fn host_bumps_wake_only_that_host() {
+        // Hosts 0 and 1 each block on a flag; a driver on host 2 bumps
+        // host 0 alone, then sets both flags and bumps everyone. Step
+        // counts are exact: a per-partition counter would add a futile
+        // re-check of host 1 after the host-0 bump.
+        let mode = SchedMode::deterministic();
+        let keys = vec![
+            ThreadKey::app(HostId(0), 0),
+            ThreadKey::app(HostId(1), 0),
+            ThreadKey::app(HostId(2), 0),
+        ];
+        let sched = Scheduler::new(&mode, keys);
+        let flags = [AtomicU64::new(0), AtomicU64::new(0)];
+        let order = Mutex::new(Vec::new());
+        let mid = std::thread::scope(|scope| {
+            for h in 0..2u16 {
+                let (sched, flags, order) = (&sched, &flags, &order);
+                scope.spawn(move || {
+                    let t = sched.attach(ThreadKey::app(HostId(h), 0));
+                    assert_eq!(wait_flag(&t, 0, &flags[usize::from(h)]), "ready");
+                    order.lock().unwrap().push(h);
+                    // Park host 0 behind the driver (vt 2) so host 1 can
+                    // only run next if `bump_action` woke it.
+                    t.yield_now(3);
+                });
+            }
+            scope
+                .spawn(|| {
+                    let t = sched.attach(ThreadKey::app(HostId(2), 0));
+                    // Steps 1–2 blocked hosts 0 and 1; step 3 is this.
+                    sched.bump_action_host(HostId(0));
+                    t.yield_now(1);
+                    // Step 4 re-checked host 0 (futile), step 5 is this.
+                    let mid = (sched.steps(), sched.rechecks());
+                    for f in &flags {
+                        f.store(1, Ordering::Relaxed);
+                    }
+                    sched.bump_action();
+                    t.yield_now(2);
+                    order.lock().unwrap().push(2);
+                    mid
+                })
+                .join()
+                .unwrap()
+        });
+        assert_eq!(mid, (5, 1), "host-0 bump must not wake host 1");
+        assert_eq!(*order.lock().unwrap(), vec![0, 1, 2]);
+        // 6–7: hosts 0 and 1 ready; 8: driver ends; 9–10: hosts end.
+        assert_eq!((sched.steps(), sched.rechecks()), (10, 1));
     }
 
     #[test]
